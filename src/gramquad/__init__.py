@@ -6,41 +6,23 @@ that memory stays linear in the point count. Unlike Newton-Cotes weights,
 they remain strictly positive at any point count when the basis degree is
 capped at the square root of the point count.
 """
-from .gauss_legendre import GaussRule, gauss_legendre_rule, legendre_value_and_derivative
-from .gram_basis import (
-    GramRecurrence,
-    RowState,
-    advance_row,
-    alpha_coefficient,
-    build_recurrence,
-    equidistant_nodes,
-    initial_row_state,
-)
-from .moments import MomentVector, compute_moments, minimum_gauss_order
-from .reference import dense_design_matrix, dense_weights, newton_cotes_weights
+from .gauss_legendre import gauss_legendre_rule
+from .gram_basis import build_recurrence, gram_rows
+from .moments import compute_moments
+from .reference import dense_weights, newton_cotes_weights
 from .weights import QuadratureRule, compute_rule, integrate, integrate_on_interval
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussRule",
-    "GramRecurrence",
-    "MomentVector",
     "QuadratureRule",
-    "RowState",
-    "advance_row",
-    "alpha_coefficient",
     "build_recurrence",
     "compute_moments",
     "compute_rule",
-    "dense_design_matrix",
     "dense_weights",
-    "equidistant_nodes",
     "gauss_legendre_rule",
-    "initial_row_state",
+    "gram_rows",
     "integrate",
     "integrate_on_interval",
-    "legendre_value_and_derivative",
-    "minimum_gauss_order",
     "newton_cotes_weights",
 ]

@@ -20,15 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gram_basis import build_recurrence
 from .reference import dense_design_matrix, newton_cotes_weights
-from .weights import QuadratureRule, compute_rule, integrate_on_interval
+from .weights import QuadratureRule, check_interval, compute_rule, integrate_on_interval
 
-__all__ = ["WeightTableDocument", "BUILTIN_FUNCTIONS", "build_parser", "main"]
+__all__ = ["BUILTIN_FUNCTIONS", "build_parser", "main", "render_csv", "render_json"]
 
 BUILTIN_FUNCTIONS = {
     "one": lambda x: np.ones_like(x),
@@ -46,42 +45,22 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-@dataclass(frozen=True)
-class WeightTableDocument:
-    """Serializable node/weight table in either CSV or JSON form."""
+def render_csv(rule: QuadratureRule) -> str:
+    """Node/weight table as CSV: an ``x,w`` header, then one line per node."""
+    lines = ["x,w"]
+    lines.extend(f"{_fmt(x)},{_fmt(w)}" for x, w in zip(rule.nodes, rule.weights))
+    return "\n".join(lines) + "\n"
 
-    p_points: int
-    degree: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    format: str
 
-    @classmethod
-    def from_rule(cls, rule: QuadratureRule, format: str) -> "WeightTableDocument":
-        return cls(
-            p_points=rule.p_points,
-            degree=rule.degree,
-            nodes=rule.nodes,
-            weights=rule.weights,
-            format=format,
-        )
-
-    def render(self) -> str:
-        if self.format == "csv":
-            lines = ["x,w"]
-            lines.extend(
-                f"{_fmt(x)},{_fmt(w)}" for x, w in zip(self.nodes, self.weights)
-            )
-            return "\n".join(lines) + "\n"
-        if self.format == "json":
-            document = {
-                "points": self.p_points,
-                "degree": self.degree,
-                "nodes": [float(x) for x in self.nodes],
-                "weights": [float(w) for w in self.weights],
-            }
-            return json.dumps(document, indent=2) + "\n"
-        raise ValueError(f"unknown table format: {self.format}")
+def render_json(rule: QuadratureRule) -> str:
+    """Node/weight table as a JSON object with keys points, degree, nodes, weights."""
+    document = {
+        "points": rule.p_points,
+        "degree": rule.degree,
+        "nodes": [float(x) for x in rule.nodes],
+        "weights": [float(w) for w in rule.weights],
+    }
+    return json.dumps(document, indent=2) + "\n"
 
 
 def _read_samples(path: str) -> np.ndarray:
@@ -92,7 +71,7 @@ def _read_samples(path: str) -> np.ndarray:
 
 def cmd_weights(args: argparse.Namespace) -> int:
     rule = compute_rule(args.points, args.degree)
-    text = WeightTableDocument.from_rule(rule, args.format).render()
+    text = render_csv(rule) if args.format == "csv" else render_json(rule)
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -102,8 +81,9 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
-    rule = compute_rule(args.points)
     a, b = args.interval
+    check_interval(a, b)
+    rule = compute_rule(args.points)
     if args.builtin is not None:
         mapped = 0.5 * (a + b) + 0.5 * (b - a) * rule.nodes
         samples = BUILTIN_FUNCTIONS[args.builtin](mapped)
@@ -207,6 +187,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: not enough memory for {args.points} points", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "GramRecurrence",
-    "RowState",
-    "alpha_coefficient",
-    "build_recurrence",
-    "equidistant_nodes",
-    "initial_row_state",
-    "advance_row",
-]
+__all__ = ["GramRecurrence", "build_recurrence", "equidistant_nodes", "gram_rows"]
 
 
 @dataclass(frozen=True)
@@ -46,42 +38,6 @@ class GramRecurrence:
     alpha: np.ndarray
 
 
-@dataclass(frozen=True)
-class RowState:
-    """Two live rows of basis values: ``cur`` at ``degree``, ``prev`` one below."""
-
-    prev: np.ndarray
-    cur: np.ndarray
-    degree: int
-
-
-def alpha_coefficient(m: int, n_param: int) -> float:
-    """Leading recurrence coefficient for advancing a degree-``m`` row.
-
-    Parameters
-    ----------
-    m : int
-        Degree of the row being advanced, ``0 <= m <= n_param - 1``.
-    n_param : int
-        Basis size parameter (point count minus one).
-
-    Returns
-    -------
-    float
-        ``(n_param / (m + 1)) * sqrt((4(m+1)^2 - 1) / ((n_param+1)^2 - (m+1)^2))``
-    """
-    if n_param < 1:
-        raise ValueError(f"basis size parameter must be >= 1, got {n_param}")
-    if m < 0 or m + 1 >= n_param + 1:
-        raise ValueError(
-            f"degree {m} is outside the valid range 0..{n_param - 1} for "
-            f"{n_param + 1} points"
-        )
-    numerator = 4 * (m + 1) ** 2 - 1
-    denominator = (n_param + 1) ** 2 - (m + 1) ** 2
-    return n_param / (m + 1) * math.sqrt(numerator / denominator)
-
-
 def build_recurrence(p_points: int, max_degree: int | None = None) -> GramRecurrence:
     """Build the coefficient table for a basis on ``p_points`` points.
 
@@ -103,10 +59,15 @@ def build_recurrence(p_points: int, max_degree: int | None = None) -> GramRecurr
     alpha = np.empty(max_degree + 2)
     alpha[0] = 1.0
     for m in range(max_degree + 1):
-        # The top table entry sits at m == n_param only when p_points == 2;
-        # its denominator vanishes and the formula limit is +inf. Advances
+        # The top entry sits at m == n_param only when p_points == 2; its
+        # denominator vanishes and the formula limit is +inf. Advances
         # within the degree cap never consume it.
-        alpha[m + 1] = alpha_coefficient(m, n_param) if m < n_param else math.inf
+        if m < n_param:
+            numerator = 4 * (m + 1) ** 2 - 1
+            denominator = (n_param + 1) ** 2 - (m + 1) ** 2
+            alpha[m + 1] = n_param / (m + 1) * math.sqrt(numerator / denominator)
+        else:
+            alpha[m + 1] = math.inf
     return GramRecurrence(n_param=n_param, max_degree=max_degree, alpha=alpha)
 
 
@@ -117,37 +78,33 @@ def equidistant_nodes(p_points: int) -> np.ndarray:
     return -1.0 + 2.0 * np.arange(p_points) / (p_points - 1)
 
 
-def initial_row_state(rec: GramRecurrence, points: np.ndarray) -> RowState:
-    """Degree-0 state on ``points``: a zero row below a constant row.
+def gram_rows(rec: GramRecurrence, points, first_row: np.ndarray):
+    """Yield the basis rows of degree 0..``rec.max_degree`` on ``points``.
 
-    The constant equals ``(n_param + 1) ** -0.5`` so that the degree-0 row
-    has unit discrete norm on the equidistant point set.
+    Each step is ``alpha_m * x * cur - (alpha_m / alpha_{m-1}) * prev``,
+    starting from ``first_row`` at degree 0 over a zero row. The map is
+    element-wise and linear in the two rows, so a rescaled ``first_row``
+    (for example one with quadrature weights folded in) yields rows
+    rescaled the same way; the unscaled degree-0 row is the constant
+    ``(rec.n_param + 1) ** -0.5``.
+
+    Only two rows are alive at a time, and their buffers are reused:
+    ``first_row`` is overwritten, and each yielded array is overwritten
+    once the generator advances past the next row. A caller who keeps a
+    row must copy it.
     """
     points = np.asarray(points, dtype=float)
-    if points.shape != (rec.n_param + 1,):
-        raise ValueError(
-            f"expected {rec.n_param + 1} points, got {points.shape[0] if points.ndim == 1 else points.shape}"
-        )
-    constant = (rec.n_param + 1) ** -0.5
-    return RowState(prev=np.zeros(points.shape), cur=np.full(points.shape, constant), degree=0)
-
-
-def advance_row(state: RowState, rec: GramRecurrence, points: np.ndarray) -> RowState:
-    """Advance one degree: ``alpha_m * x * cur - (alpha_m / alpha_{m-1}) * prev``.
-
-    Element-wise and linear in the two rows, so rescaled rows (for example
-    rows with quadrature weights folded in) advance under the same map.
-    """
-    if state.degree >= rec.max_degree:
-        raise ValueError(
-            f"cannot advance past degree {rec.max_degree}; no coefficients beyond the cap"
-        )
-    points = np.asarray(points, dtype=float)
-    if points.shape != state.cur.shape:
-        raise ValueError(f"points shape {points.shape} does not match rows {state.cur.shape}")
-    leading = rec.alpha[state.degree + 1]
-    trailing = leading / rec.alpha[state.degree]
-    nxt = points * state.cur
-    nxt *= leading
-    nxt -= trailing * state.prev
-    return RowState(prev=state.cur, cur=nxt, degree=state.degree + 1)
+    cur = np.asarray(first_row, dtype=float)
+    if cur.shape != points.shape:
+        raise ValueError(f"first row shape {cur.shape} does not match points {points.shape}")
+    alpha = rec.alpha
+    prev = np.zeros_like(cur)
+    yield cur
+    for m in range(1, rec.max_degree + 1):
+        nxt = points * cur
+        nxt *= alpha[m]
+        prev *= -(alpha[m] / alpha[m - 1])
+        prev += nxt
+        del nxt
+        prev, cur = cur, prev
+        yield cur

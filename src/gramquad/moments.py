@@ -8,22 +8,12 @@ a weighted row advances to the next weighted row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gauss_legendre import GaussRule
-from .gram_basis import GramRecurrence, RowState, advance_row
+from .gram_basis import GramRecurrence, gram_rows
 
-__all__ = ["MomentVector", "minimum_gauss_order", "compute_moments"]
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Integrals of the basis polynomials: ``values[m]`` for degrees 0..degree."""
-
-    values: np.ndarray
-    degree: int
+__all__ = ["minimum_gauss_order", "compute_moments"]
 
 
 def minimum_gauss_order(max_degree: int) -> int:
@@ -31,11 +21,12 @@ def minimum_gauss_order(max_degree: int) -> int:
     return max_degree // 2 + 1
 
 
-def compute_moments(rec: GramRecurrence, gauss: GaussRule) -> MomentVector:
+def compute_moments(rec: GramRecurrence, gauss: GaussRule) -> np.ndarray:
     """Integrate each basis polynomial up to ``rec.max_degree`` over [-1, 1].
 
-    Raises ``ValueError`` if the Gauss order is too low for the integrals
-    to be exact. The degree-0 moment is ``2 * (n_param + 1) ** -0.5``; odd
+    Returns the integrals as an array indexed by degree. Raises
+    ``ValueError`` if the Gauss order is too low for the integrals to be
+    exact. The degree-0 moment is ``2 * (n_param + 1) ** -0.5``; odd
     degrees integrate to zero by parity.
     """
     needed = minimum_gauss_order(rec.max_degree)
@@ -44,11 +35,6 @@ def compute_moments(rec: GramRecurrence, gauss: GaussRule) -> MomentVector:
             f"Gauss order {gauss.order} cannot integrate degree {rec.max_degree} "
             f"exactly; at least {needed} points are required"
         )
-    constant = (rec.n_param + 1) ** -0.5
-    state = RowState(prev=np.zeros(gauss.order), cur=gauss.weights * constant, degree=0)
-    values = np.empty(rec.max_degree + 1)
-    values[0] = state.cur.sum()
-    for m in range(rec.max_degree):
-        state = advance_row(state, rec, gauss.nodes)
-        values[m + 1] = state.cur.sum()
-    return MomentVector(values=values, degree=rec.max_degree)
+    first_row = gauss.weights * (rec.n_param + 1) ** -0.5
+    rows = gram_rows(rec, gauss.nodes, first_row)
+    return np.fromiter((row.sum() for row in rows), float, rec.max_degree + 1)

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import gramquad.cli
 from gramquad.cli import main
 from gramquad.weights import compute_rule
 
@@ -112,6 +114,18 @@ class TestIntegrateCommand:
         assert out == ""
         assert "11" in err and "10" in err  # expected vs found
 
+    @pytest.mark.parametrize("bad", ["nan", "1e400", "-inf"])
+    def test_non_finite_sample_rejected(self, tmp_path, capsys, bad):
+        path = tmp_path / "samples.txt"
+        values = ["1.0"] * 11
+        values[3] = bad
+        path.write_text("\n".join(values) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "integrate", "--points", "11", "--samples", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "sample 3" in err
+
     def test_missing_sample_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "integrate", "--points", "11", "--samples", str(tmp_path / "nope.txt")
@@ -163,6 +177,20 @@ class TestIntegrateCommand:
         assert err != ""
 
 
+    @pytest.mark.parametrize("bounds", [("0", "inf"), ("1", "1e999"), ("nan", "1")])
+    def test_non_finite_interval_rejected(self, capsys, bounds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "integrate", "--points", "11", "--builtin", "appendix-poly",
+                "--interval", *bounds,
+            )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestCheckCommand:
     def test_healthy_rule(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--points", "101")
@@ -206,6 +234,18 @@ class TestCompareCommand:
         code, _, err = run_cli(capsys, "compare", "--points", "31")
         assert code == 1
         assert err != ""
+
+
+def test_memory_error_reported(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(gramquad.cli, "compute_rule", exhausted)
+    code, out, err = run_cli(capsys, "weights", "--points", "3000000000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "3000000000" in err
 
 
 def test_module_entry_point():

@@ -5,56 +5,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramquad.gram_basis import (
-    GramRecurrence,
-    advance_row,
-    alpha_coefficient,
-    build_recurrence,
-    equidistant_nodes,
-    initial_row_state,
-)
+from gramquad.gram_basis import GramRecurrence, build_recurrence, equidistant_nodes, gram_rows
+
+
+def unit_rows(rec: GramRecurrence, points: np.ndarray):
+    """Basis rows on ``points``, seeded with the unit-norm constant row."""
+    return gram_rows(rec, points, np.full(np.shape(points), (rec.n_param + 1) ** -0.5))
 
 
 def all_rows(rec: GramRecurrence, points: np.ndarray) -> np.ndarray:
-    """Materialize every basis row through the streaming interface."""
-    state = initial_row_state(rec, points)
-    rows = [state.cur]
-    for _ in range(rec.max_degree):
-        state = advance_row(state, rec, points)
-        rows.append(state.cur)
-    return np.vstack(rows)
+    """Materialize every basis row; each yielded row is copied before the next step."""
+    return np.array([row.copy() for row in unit_rows(rec, points)])
 
 
 class TestAlphaCoefficient:
+    """Entries of the recurrence table built by ``build_recurrence``."""
+
     def test_smallest_basis(self):
-        assert alpha_coefficient(0, 1) == 1.0
+        assert build_recurrence(2).alpha[1] == 1.0
 
     def test_three_points(self):
-        assert alpha_coefficient(0, 2) == pytest.approx(1.2247448713915890, abs=1e-15)
+        assert build_recurrence(3).alpha[1] == pytest.approx(1.2247448713915890, abs=1e-15)
 
     def test_matches_closed_form(self):
         for m, n in [(0, 10), (3, 10), (9, 100), (31, 1000)]:
             expected = n / (m + 1) * math.sqrt(
                 (4 * (m + 1) ** 2 - 1) / ((n + 1) ** 2 - (m + 1) ** 2)
             )
-            assert alpha_coefficient(m, n) == pytest.approx(expected, rel=1e-15)
+            assert build_recurrence(n + 1).alpha[m + 1] == pytest.approx(expected, rel=1e-15)
 
     def test_degree_at_or_above_basis_size_rejected(self):
+        # No table reaches a degree at or above the basis size n_param,
+        # except the two-point table, whose top entry is the +inf limit.
         with pytest.raises(ValueError):
-            alpha_coefficient(1, 1)
+            build_recurrence(3, 2)
         with pytest.raises(ValueError):
-            alpha_coefficient(10, 10)
+            build_recurrence(11, 10)
         with pytest.raises(ValueError):
-            alpha_coefficient(-1, 5)
-        with pytest.raises(ValueError):
-            alpha_coefficient(0, 0)
+            build_recurrence(11, 11)
 
     @given(n_param=st.integers(min_value=1, max_value=5000))
     def test_in_range_coefficients_finite_positive(self, n_param):
-        for m in range(0, n_param, max(1, n_param // 7)):
-            value = alpha_coefficient(m, n_param)
-            assert math.isfinite(value)
-            assert value > 0.0
+        rec = build_recurrence(n_param + 1)
+        in_range = rec.alpha[1:][np.arange(rec.max_degree + 1) < n_param]
+        assert in_range.size > 0
+        assert np.all(np.isfinite(in_range))
+        assert np.all(in_range > 0.0)
 
 
 class TestBuildRecurrence:
@@ -76,9 +72,12 @@ class TestBuildRecurrence:
         assert build_recurrence(10001).max_degree == 100
 
     def test_table_matches_coefficient_function(self):
+        # The table holds the scalar closed form bit for bit.
         rec = build_recurrence(101)
         for m in range(rec.max_degree + 1):
-            assert rec.alpha[m + 1] == alpha_coefficient(m, 100)
+            numerator = 4 * (m + 1) ** 2 - 1
+            denominator = 101**2 - (m + 1) ** 2
+            assert rec.alpha[m + 1] == 100 / (m + 1) * math.sqrt(numerator / denominator)
 
     def test_entries_finite_positive_where_defined(self):
         for p in (2, 3, 11, 101):
@@ -126,64 +125,74 @@ class TestEquidistantNodes:
 
 
 class TestInitialRowState:
+    """The degree-0 row of ``gram_rows`` and the zero row below it."""
+
     def test_three_points(self):
         rec = build_recurrence(3)
-        state = initial_row_state(rec, equidistant_nodes(3))
-        assert state.degree == 0
-        np.testing.assert_array_equal(state.prev, np.zeros(3))
-        np.testing.assert_allclose(state.cur, 0.5773502691896258, atol=1e-15)
+        nodes = equidistant_nodes(3)
+        rows = unit_rows(rec, nodes)
+        row0 = next(rows)
+        np.testing.assert_allclose(row0, 0.5773502691896258, atol=1e-15)
+        # The row below degree 0 is zero, so degree 1 is alpha_1 * x * row0.
+        np.testing.assert_array_equal(next(rows), rec.alpha[1] * (nodes * row0))
 
     def test_two_points(self):
-        state = initial_row_state(build_recurrence(2), equidistant_nodes(2))
-        np.testing.assert_allclose(state.cur, 0.7071067811865476, atol=1e-15)
+        row0 = next(unit_rows(build_recurrence(2), equidistant_nodes(2)))
+        np.testing.assert_allclose(row0, 0.7071067811865476, atol=1e-15)
 
     def test_length_mismatch_rejected(self):
         rec = build_recurrence(3)
         with pytest.raises(ValueError):
-            initial_row_state(rec, equidistant_nodes(4))
+            next(gram_rows(rec, equidistant_nodes(3), np.ones(4)))
 
 
 class TestAdvanceRow:
+    """Single recurrence steps of ``gram_rows``."""
+
     def test_three_points_degree_one(self):
-        rec = build_recurrence(3)
-        nodes = equidistant_nodes(3)
-        state = advance_row(initial_row_state(rec, nodes), rec, nodes)
-        assert state.degree == 1
+        rows = all_rows(build_recurrence(3), equidistant_nodes(3))
+        assert rows.shape == (2, 3)
         np.testing.assert_allclose(
-            state.cur,
+            rows[1],
             [-0.7071067811865476, 0.0, 0.7071067811865476],
             atol=1e-15,
         )
-        assert state.cur[1] == 0.0
-        assert np.sum(state.cur**2) == pytest.approx(1.0, abs=1e-15)
+        assert rows[1][1] == 0.0
+        assert np.sum(rows[1] ** 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_two_points_degree_one(self):
-        rec = build_recurrence(2)
-        nodes = equidistant_nodes(2)
-        state = advance_row(initial_row_state(rec, nodes), rec, nodes)
+        rows = all_rows(build_recurrence(2), equidistant_nodes(2))
         np.testing.assert_allclose(
-            state.cur, [-0.7071067811865476, 0.7071067811865476], atol=1e-15
+            rows[1], [-0.7071067811865476, 0.7071067811865476], atol=1e-15
         )
 
     def test_previous_row_carried(self):
+        # Two buffers alternate: a yielded row stays intact while the next
+        # one is computed from it, then becomes the row two degrees up.
         rec = build_recurrence(11)
-        nodes = equidistant_nodes(11)
-        state = initial_row_state(rec, nodes)
-        advanced = advance_row(state, rec, nodes)
-        np.testing.assert_array_equal(advanced.prev, state.cur)
+        first_row = np.full(11, 11**-0.5)
+        rows = gram_rows(rec, equidistant_nodes(11), first_row)
+        row0 = next(rows)
+        assert row0 is first_row
+        kept = row0.copy()
+        row1 = next(rows)
+        np.testing.assert_array_equal(row0, kept)
+        assert next(rows) is row0
+        assert next(rows) is row1
 
     def test_advance_past_cap_rejected(self):
         rec = build_recurrence(3)
-        nodes = equidistant_nodes(3)
-        state = advance_row(initial_row_state(rec, nodes), rec, nodes)
-        with pytest.raises(ValueError):
-            advance_row(state, rec, nodes)
+        rows = unit_rows(rec, equidistant_nodes(3))
+        next(rows)
+        next(rows)
+        with pytest.raises(StopIteration):
+            next(rows)
+        assert len(all_rows(build_recurrence(101, 4), equidistant_nodes(101))) == 5
 
     def test_point_shape_mismatch_rejected(self):
         rec = build_recurrence(3)
-        state = initial_row_state(rec, equidistant_nodes(3))
         with pytest.raises(ValueError):
-            advance_row(state, rec, np.zeros(4))
+            next(gram_rows(rec, np.zeros((3, 1)), np.ones(3)))
 
 
 class TestBasisInvariants:

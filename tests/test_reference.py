@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import newton_cotes as scipy_newton_cotes
 
-from gramquad.gram_basis import (
-    advance_row,
-    build_recurrence,
-    equidistant_nodes,
-    initial_row_state,
-)
+from gramquad.gram_basis import build_recurrence, equidistant_nodes, gram_rows
 from gramquad.reference import dense_design_matrix, dense_weights, newton_cotes_weights
 from gramquad.weights import compute_rule
 
@@ -18,11 +13,12 @@ class TestDenseDesignMatrix:
         rec = build_recurrence(p)
         nodes = equidistant_nodes(p)
         matrix = dense_design_matrix(rec, nodes)
-        state = initial_row_state(rec, nodes)
-        np.testing.assert_allclose(matrix[0], state.cur, atol=1e-14)
-        for m in range(rec.max_degree):
-            state = advance_row(state, rec, nodes)
-            np.testing.assert_allclose(matrix[m + 1], state.cur, atol=1e-14)
+        rows = gram_rows(rec, nodes, np.full(p, p**-0.5))
+        count = 0
+        for dense_row, row in zip(matrix, rows):
+            np.testing.assert_allclose(dense_row, row, atol=1e-14)
+            count += 1
+        assert count == rec.max_degree + 1
 
     @pytest.mark.parametrize("p", [11, 101, 401])
     def test_orthonormal_rows(self, p):

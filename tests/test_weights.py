@@ -42,6 +42,13 @@ class TestComputeRule:
         with pytest.raises(ValueError):
             compute_rule(101, 11)
 
+    def test_arrays_read_only(self):
+        rule = compute_rule(11)
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+
     @pytest.mark.parametrize("p", [5, 11, 26, 101, 401, 1001, 10001])
     def test_positivity_across_regime(self, p):
         rule = compute_rule(p)
@@ -95,6 +102,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(rule, np.ones(10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        rule = compute_rule(11)
+        samples = np.ones(11)
+        samples[4] = bad
+        with pytest.raises(ValueError, match="sample 4"):
+            integrate(rule, samples)
+
 
 class TestIntegrateOnInterval:
     def test_identity_interval_matches_integrate(self):
@@ -121,3 +136,11 @@ class TestIntegrateOnInterval:
             integrate_on_interval(rule, 1.0, 1.0, np.ones(11))
         with pytest.raises(ValueError):
             integrate_on_interval(rule, 2.0, 0.0, np.ones(11))
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan), (-1e308, 1e308)]
+    )
+    def test_non_finite_bounds_rejected(self, a, b):
+        rule = compute_rule(11)
+        with pytest.raises(ValueError):
+            integrate_on_interval(rule, a, b, np.ones(11))
