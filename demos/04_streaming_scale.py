@@ -2,8 +2,10 @@
 
 Assembling the weights naively means materializing the full basis-row
 matrix, which at a million points and degree cap 1000 is roughly 8 GB of
-doubles. The streaming assembly keeps two basis rows plus the accumulator
-alive, so the same rule fits in a few point-length vectors (8 MB each).
+doubles. The blocked assembly evaluates the basis on one block of about
+two thousand nodes at a time (16 MiB), drops it before the next, and
+mirrors the left half of the weights onto the right, so the same rule
+fits in the node and weight vectors (8 MB each) plus one block.
 """
 import time
 import tracemalloc
@@ -26,7 +28,7 @@ _, peak = tracemalloc.get_traced_memory()
 tracemalloc.stop()
 
 vector_bytes = p_points * 8
-print(f"streaming assembly finished in {elapsed:.1f} s")
+print(f"blocked assembly finished in {elapsed:.1f} s")
 print(f"peak traced memory: {peak / 1e6:.1f} MB "
       f"(about {peak / vector_bytes:.1f} point-length vectors)")
 print(f"weight sum: {float(rule.weights.sum())!r}")

@@ -23,8 +23,8 @@ import sys
 
 import numpy as np
 
-from .gram_basis import build_recurrence
-from .reference import dense_design_matrix, newton_cotes_weights
+from .gram_basis import basis_rows, block_slices, build_recurrence
+from .reference import newton_cotes_weights
 from .weights import QuadratureRule, check_interval, compute_rule, integrate_on_interval
 
 __all__ = ["BUILTIN_FUNCTIONS", "build_parser", "main", "render_csv", "render_json"]
@@ -104,10 +104,12 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     rule = compute_rule(args.points)
     rec = build_recurrence(args.points)
-    design = dense_design_matrix(rec, rule.nodes)
-    gram_residual = float(
-        np.max(np.abs(design @ design.T - np.eye(rec.max_degree + 1)))
-    )
+    gram = np.zeros((rec.max_degree + 1, rec.max_degree + 1))
+    for block in block_slices(rec, rule.p_points):
+        rows = basis_rows(rec, rule.nodes[block])
+        gram += rows @ rows.T
+        del rows  # free this block before the next one is built
+    gram_residual = float(np.max(np.abs(gram - np.eye(rec.max_degree + 1))))
     weight_sum = float(rule.weights.sum())
     min_weight = float(rule.weights.min())
     residuals = []

@@ -1,10 +1,10 @@
 """Orthonormal Gram (discrete Legendre) polynomial basis on point sets.
 
 The basis is defined by a three-term recurrence whose coefficients depend
-only on the number of sample points, so evaluating all rows up to a degree
-cap needs just the coefficient table and the two most recent rows. That
-two-row discipline is what the weight-assembly layer relies on to stay at
-O(P) memory.
+only on the number of sample points. ``basis_rows`` is the one evaluator
+of that recurrence; callers that cover many points walk them in blocks of
+at most ``BLOCK_DOUBLES`` basis values, which keeps the weight assembly
+and the ``check`` diagnostics at O(P) memory.
 """
 from __future__ import annotations
 
@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GramRecurrence", "build_recurrence", "equidistant_nodes", "gram_rows"]
+__all__ = [
+    "BLOCK_DOUBLES", "GramRecurrence", "basis_rows", "block_slices", "build_recurrence",
+    "equidistant_nodes",
+]
+
+# Basis values per block (16 MiB). Blocked passes hold one block at a time,
+# so their memory stays bounded whatever P and the degree cap are.
+BLOCK_DOUBLES = 2**21
 
 
 @dataclass(frozen=True)
@@ -26,11 +33,11 @@ class GramRecurrence:
         Size parameter of the basis, one less than the point count.
     max_degree : int
         Highest basis degree the table supports.
-    alpha : ndarray, shape (max_degree + 2,)
-        ``alpha[0]`` is the seed coefficient 1; ``alpha[m + 1]`` is the
-        leading coefficient for advancing a degree-``m`` row. The trailing
+    alpha : ndarray, shape (max_degree + 1,)
+        ``alpha[0]`` is the seed coefficient 1; ``alpha[m]`` is the
+        leading coefficient for the degree-``m`` row. The trailing
         recurrence coefficient is never stored: it is always the ratio
-        ``alpha[m + 1] / alpha[m]``.
+        ``alpha[m] / alpha[m - 1]``.
     """
 
     n_param: int
@@ -56,18 +63,12 @@ def build_recurrence(p_points: int, max_degree: int | None = None) -> GramRecurr
             f"max_degree {max_degree} is outside 0..{cap}, the stability cap "
             f"for {p_points} points"
         )
-    alpha = np.empty(max_degree + 2)
+    alpha = np.empty(max_degree + 1)
     alpha[0] = 1.0
-    for m in range(max_degree + 1):
-        # The top entry sits at m == n_param only when p_points == 2; its
-        # denominator vanishes and the formula limit is +inf. Advances
-        # within the degree cap never consume it.
-        if m < n_param:
-            numerator = 4 * (m + 1) ** 2 - 1
-            denominator = (n_param + 1) ** 2 - (m + 1) ** 2
-            alpha[m + 1] = n_param / (m + 1) * math.sqrt(numerator / denominator)
-        else:
-            alpha[m + 1] = math.inf
+    for m in range(1, max_degree + 1):
+        numerator = 4 * m**2 - 1
+        denominator = (n_param + 1) ** 2 - m**2
+        alpha[m] = n_param / m * math.sqrt(numerator / denominator)
     return GramRecurrence(n_param=n_param, max_degree=max_degree, alpha=alpha)
 
 
@@ -78,33 +79,35 @@ def equidistant_nodes(p_points: int) -> np.ndarray:
     return -1.0 + 2.0 * np.arange(p_points) / (p_points - 1)
 
 
-def gram_rows(rec: GramRecurrence, points, first_row: np.ndarray):
-    """Yield the basis rows of degree 0..``rec.max_degree`` on ``points``.
+def block_slices(rec: GramRecurrence, n_points: int):
+    """Slices that cover ``range(n_points)`` in blocks of nodes small enough
+    that ``basis_rows`` on one block holds at most ``BLOCK_DOUBLES`` values."""
+    step = BLOCK_DOUBLES // (rec.max_degree + 1)
+    return (slice(start, start + step) for start in range(0, n_points, step))
 
-    Each step is ``alpha_m * x * cur - (alpha_m / alpha_{m-1}) * prev``,
-    starting from ``first_row`` at degree 0 over a zero row. The map is
-    element-wise and linear in the two rows, so a rescaled ``first_row``
-    (for example one with quadrature weights folded in) yields rows
-    rescaled the same way; the unscaled degree-0 row is the constant
-    ``(rec.n_param + 1) ** -0.5``.
 
-    Only two rows are alive at a time, and their buffers are reused:
-    ``first_row`` is overwritten, and each yielded array is overwritten
-    once the generator advances past the next row. A caller who keeps a
-    row must copy it.
+def basis_rows(rec: GramRecurrence, points) -> np.ndarray:
+    """All basis rows at once: entry [m, i] is the degree-m value at points[i].
+
+    Row m is ``alpha[m] * x * row[m-1] - (alpha[m] / alpha[m-1]) * row[m-2]``,
+    starting from the constant row ``(rec.n_param + 1) ** -0.5`` over a
+    zero row. The result takes ``(rec.max_degree + 1) * len(points)``
+    doubles, so callers that cover many points walk them in
+    ``block_slices``. On the equidistant point set the recurrence was
+    built for, the rows are orthonormal.
     """
     points = np.asarray(points, dtype=float)
-    cur = np.asarray(first_row, dtype=float)
-    if cur.shape != points.shape:
-        raise ValueError(f"first row shape {cur.shape} does not match points {points.shape}")
-    alpha = rec.alpha
-    prev = np.zeros_like(cur)
-    yield cur
-    for m in range(1, rec.max_degree + 1):
-        nxt = points * cur
-        nxt *= alpha[m]
-        prev *= -(alpha[m] / alpha[m - 1])
-        prev += nxt
-        del nxt
-        prev, cur = cur, prev
-        yield cur
+    if points.ndim != 1:
+        raise ValueError(f"points must be one-dimensional, got shape {points.shape}")
+    rows = np.empty((rec.max_degree + 1, points.size))
+    rows[0] = (rec.n_param + 1) ** -0.5
+    scratch = np.empty_like(points)
+    prev, cur = np.zeros_like(points), rows[0]
+    alpha = rec.alpha.tolist()
+    for a_prev, a_m, row in zip(alpha, alpha[1:], rows[1:]):
+        np.multiply(points, cur, out=row)
+        row *= a_m
+        np.multiply(prev, a_m / a_prev, out=scratch)
+        row -= scratch
+        prev, cur = cur, row
+    return rows

@@ -1,17 +1,15 @@
 """Exact integrals of the Gram basis over [-1, 1].
 
 Each basis polynomial of degree m <= M is integrated exactly by a
-Gauss-Legendre rule with floor(M / 2) + 1 points. Folding the Gauss
-weights into the degree-0 row lets the whole moment vector come out of the
-same two-row recurrence used everywhere else: the recurrence is linear, so
-a weighted row advances to the next weighted row.
+Gauss-Legendre rule with floor(M / 2) + 1 points: the moment vector is the
+basis evaluated at the Gauss nodes, contracted with the Gauss weights.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .gauss_legendre import GaussRule
-from .gram_basis import GramRecurrence, gram_rows
+from .gram_basis import GramRecurrence, basis_rows
 
 __all__ = ["minimum_gauss_order", "compute_moments"]
 
@@ -35,6 +33,4 @@ def compute_moments(rec: GramRecurrence, gauss: GaussRule) -> np.ndarray:
             f"Gauss order {gauss.order} cannot integrate degree {rec.max_degree} "
             f"exactly; at least {needed} points are required"
         )
-    first_row = gauss.weights * (rec.n_param + 1) ** -0.5
-    rows = gram_rows(rec, gauss.nodes, first_row)
-    return np.fromiter((row.sum() for row in rows), float, rec.max_degree + 1)
+    return basis_rows(rec, gauss.nodes) @ gauss.weights

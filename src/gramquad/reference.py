@@ -1,7 +1,7 @@
-"""Brute-force baselines used to validate the streaming implementation.
+"""Brute-force baselines for the blocked weight assembly.
 
-Nothing here is meant to be efficient: the dense path materializes the full
-design matrix on purpose, and the Newton-Cotes weights exist to demonstrate
+Nothing here is meant to be efficient: the dense path evaluates the whole
+basis matrix on purpose, and the Newton-Cotes weights exist to demonstrate
 the sign instability that the Gram-basis weights avoid.
 """
 from __future__ import annotations
@@ -11,44 +11,24 @@ import math
 import numpy as np
 
 from .gauss_legendre import gauss_legendre_rule
-from .gram_basis import GramRecurrence, build_recurrence, equidistant_nodes
-from .moments import minimum_gauss_order
+from .gram_basis import basis_rows, build_recurrence, equidistant_nodes
+from .moments import compute_moments, minimum_gauss_order
 
-__all__ = ["dense_design_matrix", "dense_weights", "newton_cotes_weights"]
+__all__ = ["dense_weights", "newton_cotes_weights"]
 
 MAX_NEWTON_COTES_POINTS = 30
 
 
-def dense_design_matrix(rec: GramRecurrence, points) -> np.ndarray:
-    """All basis rows at once: entry [m, i] is the degree-m value at points[i].
-
-    O(P * M) storage by design; rows are orthonormal on the equidistant
-    point set the recurrence was built for.
-    """
-    points = np.asarray(points, dtype=float)
-    matrix = np.empty((rec.max_degree + 1, points.size))
-    matrix[0] = (rec.n_param + 1) ** -0.5
-    if rec.max_degree >= 1:
-        matrix[1] = rec.alpha[1] * (points * matrix[0])
-    for m in range(1, rec.max_degree):
-        leading = rec.alpha[m + 1]
-        matrix[m + 1] = leading * (points * matrix[m]) - (leading / rec.alpha[m]) * matrix[m - 1]
-    return matrix
-
-
 def dense_weights(p_points: int, degree: int | None = None) -> np.ndarray:
-    """Quadrature weights via the fully materialized design matrix.
+    """Quadrature weights from the full (M+1) x P basis matrix in one product.
 
-    Same contract as ``weights.compute_rule`` but assembled with dense
-    matrix products: moments come from contracting the basis on Gauss
-    nodes against the Gauss weights, and the weight vector is the matrix
-    transpose applied to the moments.
+    Same contract as ``weights.compute_rule``, assembled the plain way:
+    one ``basis_rows`` call over every node, no blocks and no mirroring.
+    O(P * M) storage by design.
     """
     rec = build_recurrence(p_points, degree)
-    gauss = gauss_legendre_rule(minimum_gauss_order(rec.max_degree))
-    moments = dense_design_matrix(rec, gauss.nodes) @ gauss.weights
-    design = dense_design_matrix(rec, equidistant_nodes(p_points))
-    return design.T @ moments
+    moments = compute_moments(rec, gauss_legendre_rule(minimum_gauss_order(rec.max_degree)))
+    return moments @ basis_rows(rec, equidistant_nodes(p_points))
 
 
 def newton_cotes_weights(p_points: int) -> np.ndarray:

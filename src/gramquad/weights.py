@@ -1,9 +1,10 @@
 """Stable quadrature rules on equidistant points.
 
 The weights solve the least-squares normal equations for the orthonormal
-Gram basis, which collapses to accumulating moment-scaled basis rows. Rows
-are generated two at a time, so a rule over a million points never holds
-more than a few point-length vectors.
+Gram basis, which collapses to contracting the basis rows with the moment
+vector. The basis is evaluated one block of nodes at a time over the left
+half of the rule and mirrored, so a rule over a million points holds two
+point-length vectors and one 16 MiB block.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss_legendre import gauss_legendre_rule
-from .gram_basis import build_recurrence, equidistant_nodes, gram_rows
+from .gram_basis import basis_rows, block_slices, build_recurrence, equidistant_nodes
 from .moments import compute_moments, minimum_gauss_order
 
 __all__ = [
@@ -58,19 +59,21 @@ def compute_rule(p_points: int, degree: int | None = None) -> QuadratureRule:
 
     Notes
     -----
-    The weight vector is accumulated one basis row at a time,
-    ``w += moment[m] * row_m``, with only two rows alive, so peak
-    auxiliary storage stays at a handful of point-length vectors
-    regardless of the degree cap.
+    Each weight is ``moments @ basis_rows(rec, [x_i])``. The first
+    ceil(P/2) weights are computed in ``block_slices`` blocks, each block
+    dropped before the next is built, and mirrored onto the right half, so
+    the weights are symmetric bit for bit and peak auxiliary storage is
+    one block of ``BLOCK_DOUBLES`` values whatever the degree cap.
     """
     rec = build_recurrence(p_points, degree)
     gauss = gauss_legendre_rule(minimum_gauss_order(rec.max_degree))
     moments = compute_moments(rec, gauss)
     nodes = equidistant_nodes(p_points)
-    weights = np.zeros(p_points)
-    first_row = np.full(p_points, (rec.n_param + 1) ** -0.5)
-    for mu, row in zip(moments, gram_rows(rec, nodes, first_row)):
-        weights += mu * row
+    weights = np.empty(p_points)
+    half = (p_points + 1) // 2
+    for block in block_slices(rec, half):
+        weights[block] = moments @ basis_rows(rec, nodes[block])
+    weights[p_points - half :] = weights[half - 1 :: -1]
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(
@@ -81,7 +84,8 @@ def compute_rule(p_points: int, degree: int | None = None) -> QuadratureRule:
 def integrate(rule: QuadratureRule, samples) -> float:
     """Weighted sum of function samples taken at ``rule.nodes``.
 
-    Raises ``ValueError`` unless there is one finite sample per node.
+    Raises ``ValueError`` unless there is one finite sample per node and
+    the weighted sum is finite too.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (rule.p_points,):
@@ -89,7 +93,11 @@ def integrate(rule: QuadratureRule, samples) -> float:
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
         raise ValueError(f"samples must be finite; sample {bad[0]} is {samples[bad[0]]}")
-    return float(np.dot(rule.weights, samples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.dot(rule.weights, samples))
+    if not math.isfinite(value):
+        raise ValueError(f"the weighted sum of the samples overflows to {value}")
+    return value
 
 
 def check_interval(a: float, b: float) -> None:
@@ -103,6 +111,10 @@ def integrate_on_interval(rule: QuadratureRule, a: float, b: float, samples) -> 
 
     The caller supplies ``samples[i] = f((a + b) / 2 + nodes[i] * (b - a) / 2)``;
     the estimate is the weighted sum scaled by the interval half-length.
+    Raises ``ValueError`` if that product overflows.
     """
     check_interval(a, b)
-    return 0.5 * (b - a) * integrate(rule, samples)
+    value = 0.5 * (b - a) * integrate(rule, samples)
+    if not math.isfinite(value):
+        raise ValueError(f"the integral over [{a}, {b}] overflows to {value}")
+    return value

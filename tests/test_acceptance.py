@@ -8,9 +8,9 @@ import numpy as np
 from scipy.integrate import simpson
 
 from gramquad.gauss_legendre import gauss_legendre_rule
-from gramquad.gram_basis import build_recurrence, equidistant_nodes
+from gramquad.gram_basis import basis_rows, build_recurrence, equidistant_nodes
 from gramquad.moments import compute_moments, minimum_gauss_order
-from gramquad.reference import dense_design_matrix, dense_weights, newton_cotes_weights
+from gramquad.reference import dense_weights, newton_cotes_weights
 from gramquad.weights import compute_rule, integrate
 
 POINT_SWEEP = (2, 3, 11, 101, 1001, 10001)
@@ -56,7 +56,7 @@ def test_criterion_04_discrete_orthonormality():
     worst = 0.0
     for p in (11, 101, 401):
         rec = build_recurrence(p)
-        rows = dense_design_matrix(rec, equidistant_nodes(p))
+        rows = basis_rows(rec, equidistant_nodes(p))
         residual = np.max(np.abs(rows @ rows.T - np.eye(rec.max_degree + 1)))
         worst = max(worst, float(residual))
     report(
@@ -161,7 +161,7 @@ def test_criterion_10_moment_oracle():
         rec = build_recurrence(p)
         gauss = gauss_legendre_rule(minimum_gauss_order(rec.max_degree))
         values = compute_moments(rec, gauss)
-        rows = dense_design_matrix(rec, grid)
+        rows = basis_rows(rec, grid)
         for m in range(rec.max_degree + 1):
             worst_gap = max(worst_gap, abs(values[m] - float(simpson(rows[m], x=grid))))
             if m % 2 == 1:

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +180,25 @@ class TestIntegrateCommand:
         assert err != ""
 
 
+    @pytest.mark.parametrize(
+        "lines, interval",
+        [(["1e308"] * 3, ("-1", "1")), (["1e10"] * 3, ("0", "1e308"))],
+    )
+    def test_overflowing_result_rejected(self, tmp_path, capsys, lines, interval):
+        path = tmp_path / "samples.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "integrate", "--points", "3", "--samples", str(path),
+                "--interval", *interval,
+            )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "overflows" in err
+
     @pytest.mark.parametrize("bounds", [("0", "inf"), ("1", "1e999"), ("nan", "1")])
     def test_non_finite_interval_rejected(self, capsys, bounds):
         with warnings.catch_warnings():
@@ -211,6 +233,19 @@ class TestCheckCommand:
         code, _, err = run_cli(capsys, "check", "--points", "1")
         assert code == 1
         assert err != ""
+
+    def test_memory_stays_blocked(self, capsys):
+        # The full basis matrix at this size would take 253 MB; the blocked
+        # Gram accumulation stays within a 16 MiB block and a few vectors.
+        tracemalloc.start()
+        try:
+            code = main(["check", "--points", "100001"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "status: ok" in capsys.readouterr().out
+        assert peak < 64 * 1024 * 1024, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestCompareCommand:
@@ -249,10 +284,13 @@ def test_memory_error_reported(monkeypatch, capsys):
 
 
 def test_module_entry_point():
+    # The child does not inherit pytest's sys.path, so point it at src/.
+    src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
         [sys.executable, "-m", "gramquad.cli", "weights", "--points", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "x,w"

@@ -35,12 +35,12 @@ def test_demo_runs(demo):
 def test_public_names():
     assert sorted(gramquad.__all__) == [
         "QuadratureRule",
+        "basis_rows",
         "build_recurrence",
         "compute_moments",
         "compute_rule",
         "dense_weights",
         "gauss_legendre_rule",
-        "gram_rows",
         "integrate",
         "integrate_on_interval",
         "newton_cotes_weights",

@@ -2,28 +2,30 @@ import numpy as np
 import pytest
 from scipy.integrate import newton_cotes as scipy_newton_cotes
 
-from gramquad.gram_basis import build_recurrence, equidistant_nodes, gram_rows
-from gramquad.reference import dense_design_matrix, dense_weights, newton_cotes_weights
+from gramquad.gram_basis import basis_rows, build_recurrence, equidistant_nodes
+from gramquad.reference import dense_weights, newton_cotes_weights
 from gramquad.weights import compute_rule
 
 
 class TestDenseDesignMatrix:
+    """``basis_rows`` over every node: the matrix ``dense_weights`` contracts."""
+
     @pytest.mark.parametrize("p", [2, 11, 101])
     def test_rows_match_streaming(self, p):
+        # Columns are independent, so uneven blocks of nodes, as the blocked
+        # assembly walks them, give the dense matrix bit for bit.
         rec = build_recurrence(p)
         nodes = equidistant_nodes(p)
-        matrix = dense_design_matrix(rec, nodes)
-        rows = gram_rows(rec, nodes, np.full(p, p**-0.5))
-        count = 0
-        for dense_row, row in zip(matrix, rows):
-            np.testing.assert_allclose(dense_row, row, atol=1e-14)
-            count += 1
-        assert count == rec.max_degree + 1
+        matrix = basis_rows(rec, nodes)
+        assert matrix.shape == (rec.max_degree + 1, p)
+        cuts = sorted({0, 1, p // 3, p // 2 + 1, p})
+        pieces = [basis_rows(rec, nodes[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(np.hstack(pieces), matrix)
 
     @pytest.mark.parametrize("p", [11, 101, 401])
     def test_orthonormal_rows(self, p):
         rec = build_recurrence(p)
-        matrix = dense_design_matrix(rec, equidistant_nodes(p))
+        matrix = basis_rows(rec, equidistant_nodes(p))
         gram = matrix @ matrix.T
         assert np.max(np.abs(gram - np.eye(rec.max_degree + 1))) < 1e-10
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,7 +60,7 @@ class TestComputeRule:
     @pytest.mark.parametrize("p", [5, 26, 101, 400])
     def test_weight_symmetry(self, p):
         rule = compute_rule(p)
-        np.testing.assert_allclose(rule.weights, rule.weights[::-1], atol=1e-13)
+        np.testing.assert_array_equal(rule.weights, rule.weights[::-1])
 
     @pytest.mark.parametrize("p", [11, 101, 401])
     def test_monomial_exactness(self, p):
@@ -79,6 +82,17 @@ class TestComputeRule:
         assert abs(rule.weights.sum() - 2.0) < 1e-12
         assert rule.weights.min() > 0.0
         np.testing.assert_allclose(rule.weights, rule.weights[::-1], atol=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.integers(min_value=2, max_value=10_000))
+    def test_rule_properties_up_to_ten_thousand(self, p):
+        rule = compute_rule(p)
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        assert rule.weights.min() > 0.0
+        assert abs(math.fsum(rule.weights) - 2.0) <= 1e-12
+        for d in range(rule.degree + 1):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(float(np.dot(rule.weights, rule.nodes**d)) - exact) < 1e-10
 
 
 class TestIntegrate:
@@ -109,6 +123,14 @@ class TestIntegrate:
         samples[4] = bad
         with pytest.raises(ValueError, match="sample 4"):
             integrate(rule, samples)
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_overflowing_sum_rejected(self, value):
+        rule = compute_rule(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                integrate(rule, np.full(3, value))
 
 
 class TestIntegrateOnInterval:
@@ -144,3 +166,10 @@ class TestIntegrateOnInterval:
         rule = compute_rule(11)
         with pytest.raises(ValueError):
             integrate_on_interval(rule, a, b, np.ones(11))
+
+    def test_overflowing_integral_rejected(self):
+        rule = compute_rule(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                integrate_on_interval(rule, 0.0, 1e308, np.full(3, 1e10))
