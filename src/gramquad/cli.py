@@ -113,9 +113,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     weight_sum = float(rule.weights.sum())
     min_weight = float(rule.weights.min())
     residuals = []
+    power = np.ones(rule.p_points)
     for d in range(rule.degree + 1):
         exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
-        residuals.append(abs(float(np.dot(rule.weights, rule.nodes**d)) - exact))
+        residuals.append(abs(float(np.dot(rule.weights, power)) - exact))
+        power *= rule.nodes
     ok = (
         abs(weight_sum - 2.0) < WEIGHT_SUM_TOLERANCE
         and min_weight > 0.0

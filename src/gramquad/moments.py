@@ -25,7 +25,7 @@ def compute_moments(rec: GramRecurrence, gauss: GaussRule) -> np.ndarray:
     Returns the integrals as an array indexed by degree. Raises
     ``ValueError`` if the Gauss order is too low for the integrals to be
     exact. The degree-0 moment is ``2 * (n_param + 1) ** -0.5``; odd
-    degrees integrate to zero by parity.
+    degrees integrate to zero by parity, and are returned as exactly 0.0.
     """
     needed = minimum_gauss_order(rec.max_degree)
     if gauss.order < needed:
@@ -33,4 +33,6 @@ def compute_moments(rec: GramRecurrence, gauss: GaussRule) -> np.ndarray:
             f"Gauss order {gauss.order} cannot integrate degree {rec.max_degree} "
             f"exactly; at least {needed} points are required"
         )
-    return basis_rows(rec, gauss.nodes) @ gauss.weights
+    moments = basis_rows(rec, gauss.nodes) @ gauss.weights
+    moments[1::2] = 0.0
+    return moments

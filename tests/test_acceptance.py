@@ -93,8 +93,10 @@ def test_criterion_06_monomial_exactness():
 
 def test_criterion_07_streaming_memory_at_scale():
     # A dense design matrix at this size would be (1000 + 1) x 1,000,001
-    # doubles, about 8 GB; the streaming path must stay within a handful of
-    # point-length vectors (8 MB each), far under the 200 MB ceiling.
+    # doubles, about 8 GB. The interpolated assembly evaluates the basis at
+    # 4000 Chebyshev points in 16 MiB blocks before it allocates the node
+    # and weight vectors (8 MB each), so it peaks near 20 MB and takes well
+    # under a second, far inside the 200 MB and 60 s ceilings.
     p_points = 1_000_001
     budget = 200 * 1024 * 1024
     tracemalloc.start()

@@ -1,8 +1,7 @@
 """The narrative demos run to completion against the public API.
 
 The demos import only from top-level ``gramquad``, so they also guard
-the names it exports. ``04_streaming_scale.py`` is left out: it builds
-the million-point rule, which the acceptance suite already does.
+the names it exports.
 """
 import os
 import subprocess
@@ -18,7 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "demo",
-    ["01_stable_weights.py", "02_instability_contrast.py", "03_integration_accuracy.py"],
+    [
+        "01_stable_weights.py",
+        "02_instability_contrast.py",
+        "03_integration_accuracy.py",
+        "04_streaming_scale.py",
+    ],
 )
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

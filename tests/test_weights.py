@@ -7,18 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramquad.reference import dense_weights
-from gramquad.weights import compute_rule, integrate, integrate_on_interval
+from gramquad.weights import (
+    PANEL_POINTS, barycentric, compute_rule, integrate, integrate_on_interval,
+)
 
 
 class TestComputeRule:
     def test_two_points_is_trapezoid(self):
         rule = compute_rule(2)
-        np.testing.assert_allclose(rule.weights, [1.0, 1.0], atol=1e-15)
+        np.testing.assert_array_equal(rule.weights, [1.0, 1.0])
         np.testing.assert_array_equal(rule.nodes, [-1.0, 1.0])
 
     def test_three_points_flat_weights(self):
         rule = compute_rule(3)
-        np.testing.assert_allclose(rule.weights, np.full(3, 2.0 / 3.0), atol=1e-15)
+        np.testing.assert_array_equal(rule.weights, np.full(3, 2.0 / 3.0))
         assert rule.degree == 1
 
     def test_hundred_one_points(self):
@@ -75,6 +77,17 @@ class TestComputeRule:
         rule = compute_rule(p)
         np.testing.assert_allclose(rule.weights, dense_weights(p), atol=1e-13)
 
+    @pytest.mark.parametrize("p", [4096, 4097, 40001])
+    def test_matches_dense_oracle_relative_to_max_weight(self, p):
+        # At the default cap every P <= 4096 is evaluated node by node and
+        # 4097 is the smallest interpolated P; 40001 is interpolated on 25
+        # panels. An absolute tolerance would pass weights of order 2/P
+        # without checking them.
+        rule = compute_rule(p)
+        dense = dense_weights(p)
+        gap = float(np.max(np.abs(rule.weights - dense)))
+        assert gap <= 1e-14 * rule.degree * dense.max()
+
     @settings(max_examples=60, deadline=None)
     @given(p=st.integers(min_value=2, max_value=500))
     def test_rule_invariants_any_point_count(self, p):
@@ -93,6 +106,26 @@ class TestComputeRule:
         for d in range(rule.degree + 1):
             exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
             assert abs(float(np.dot(rule.weights, rule.nodes**d)) - exact) < 1e-10
+
+
+class TestBarycentric:
+    # First-kind Chebyshev points on the panel [-0.75, -0.25].
+    angles = (2 * np.arange(PANEL_POINTS) + 1) * np.pi / (2 * PANEL_POINTS)
+    points = -0.5 + 0.25 * np.cos(angles)
+
+    def test_reproduces_polynomial_of_lower_degree(self):
+        x = np.linspace(-0.75, -0.25, 11)
+        values = barycentric(x, self.points, self.points**5 - self.points)
+        np.testing.assert_allclose(values, x**5 - x, rtol=0, atol=1e-15)
+
+    def test_node_on_chebyshev_point_takes_its_value(self):
+        x = np.array([-0.6, self.points[5], -0.4])
+        samples = np.exp(self.points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = barycentric(x, self.points, samples)
+        assert values[1] == samples[5]
+        np.testing.assert_allclose(values[[0, 2]], np.exp(x[[0, 2]]), rtol=1e-14)
 
 
 class TestIntegrate:
